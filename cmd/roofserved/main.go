@@ -69,7 +69,7 @@ func splitWorkers(s string) []string {
 func main() {
 	var (
 		addr           = flag.String("addr", "127.0.0.1:0", "listen address (host:port; port 0 picks a free port)")
-		cacheEntries   = flag.Int("cache-entries", 0, "result-cache capacity in entries (0 = default 256)")
+		cacheEntries   = flag.Int("cache-entries", 0, "result-cache capacity in entries, also bounding the campaign fingerprint memo (0 = default 256)")
 		cacheDir       = flag.String("cache-dir", "", "directory persisting cache entries across restarts (empty = in-memory only)")
 		cacheTTL       = flag.Duration("cache-ttl", 0, "cache entry lifetime; persisted entries honor it across restarts (0 = never expire)")
 		cacheMinRun    = flag.Duration("cache-min-run", 0, "cache admission floor: results measured faster than this are not cached (0 = cache everything)")

@@ -48,7 +48,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:0", "listen address (host:port; port 0 picks a free port)")
 		name         = flag.String("name", "", "worker identity reported on heartbeats and outcomes (default: the listen address)")
 		parallelism  = flag.Int("parallelism", 0, "host-parallelism capacity divided among concurrent nodes (0 = GOMAXPROCS)")
-		cacheEntries = flag.Int("cache-entries", 0, "completed-node cache capacity in entries (0 = default 256)")
+		cacheEntries = flag.Int("cache-entries", 0, "completed-node cache capacity in entries, also bounding the campaign fingerprint memo (0 = default 256)")
 	)
 	flag.Parse()
 

@@ -175,3 +175,35 @@ func TestFingerprintScheduleInvariant(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSessionNewFingerprint measures resolving a campaign from
+// scratch, as a serving tier or dist worker does on a memo miss: New
+// (option application, defaults, plan-graph validation) plus the first
+// Fingerprint, on the default DGEMM+TRIAD campaign and on the wide
+// campaign (all four workloads, chained TRIAD levels).
+func BenchmarkSessionNewFingerprint(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default", []Option{WithSystem("Gold 6148"), WithCaseShards(1)}},
+		{"wide", []Option{
+			WithSystem("Gold 6148"), WithCaseShards(1),
+			WithWorkloads("dgemm", "triad", "spmv", "stencil"),
+			WithTriadLevels("L1", "L2", "L3", "DRAM"), WithSweepChaining(true),
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sess, err := New(bc.opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sess.Fingerprint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

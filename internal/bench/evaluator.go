@@ -50,6 +50,58 @@ type Outcome struct {
 	Elapsed time.Duration
 	// TotalSamples counts measured iterations across invocations.
 	TotalSamples int
+
+	// bounds records the evaluation's stop-condition-4 decisions; see
+	// ReproducesUnder.
+	bounds boundTrace
+}
+
+// boundTrace records every stop-condition-4 check (inner and outer) of
+// one evaluation by its left-hand side, mean + margin. The checks happen
+// at points the incumbent bound does not choose, and each decision is
+// "stop iff lhs < bound", so the two extremes below delimit exactly the
+// bounds under which the evaluation takes the same path. The zero
+// value, which Evaluate never leaves behind, reproduces under no bound.
+type boundTrace struct {
+	// minGo is the lowest lhs of a check that let the evaluation go on
+	// (+Inf when none did).
+	minGo float64
+	// maxStop is the highest lhs of a check that stopped it (-Inf when
+	// none did).
+	maxStop float64
+}
+
+func newBoundTrace() boundTrace {
+	return boundTrace{minGo: math.Inf(1), maxStop: math.Inf(-1)}
+}
+
+// stop decides one stop-condition-4 check against best and records it.
+// No incumbent (NoBest) never stops.
+func (t *boundTrace) stop(lhs, best float64) bool {
+	if !math.IsInf(best, -1) && lhs < best {
+		t.maxStop = max(t.maxStop, lhs)
+		return true
+	}
+	if lhs < t.minGo { // a NaN lhs continues under every bound
+		t.minGo = lhs
+	}
+	return false
+}
+
+// ReproducesUnder reports whether evaluating the same case against the
+// incumbent bound would have produced this very outcome: every stop
+// condition 4 check would have decided the same way, and everything else
+// an evaluation does is independent of the bound (on a deterministic
+// engine the samples are too). A sharded search uses it to confirm that
+// an outcome measured against a schedule-dependent bound snapshot is the
+// one the serial search would have measured. Outcomes not produced by
+// Evaluate never qualify.
+func (o *Outcome) ReproducesUnder(bound float64) bool {
+	t := o.bounds
+	if math.IsInf(bound, -1) {
+		return math.IsInf(t.maxStop, -1)
+	}
+	return t.maxStop < bound && bound <= t.minGo
 }
 
 // Better reports whether this outcome beats the given metric value.
@@ -93,7 +145,7 @@ func NewEvaluator(clock vclock.Clock, budget Budget) *Evaluator {
 func (e *Evaluator) Evaluate(ctx context.Context, c Case, inc Incumbent) (*Outcome, error) {
 	best := inc.Bound()
 	b := e.Budget.normalized()
-	out := &Outcome{Key: c.Key(), Config: c.Config(), Describe: c.Describe(), Metric: c.Metric()}
+	out := &Outcome{Key: c.Key(), Config: c.Config(), Describe: c.Describe(), Metric: c.Metric(), bounds: newBoundTrace()}
 	out.Invocations = make([]InvocationResult, 0, b.Invocations)
 	watch := vclock.NewStopwatch(e.Clock)
 
@@ -116,7 +168,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, c Case, inc Incumbent) (*Outco
 		if b.Scope == ScopePerConfig {
 			timeLeft = b.MaxTime - configMeasured
 		}
-		res := e.runIteration(ctx, c.Key(), inv, inst, b, best, timeLeft)
+		res := e.runIteration(ctx, c.Key(), inv, inst, b, best, timeLeft, &out.bounds)
 		inst.Close()
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -133,9 +185,9 @@ func (e *Evaluator) Evaluate(ctx context.Context, c Case, inc Incumbent) (*Outco
 		// upper confidence bound of the invocation-level mean cannot reach
 		// the incumbent, drop the configuration without the remaining
 		// invocations.
-		if b.UseOuterBound && outer.N() >= 2 && !math.IsInf(best, -1) {
+		if b.UseOuterBound && outer.N() >= 2 {
 			iv := e.interval(&outer, b)
-			if iv.Mean+iv.Margin() < best {
+			if out.bounds.stop(iv.Mean+iv.Margin(), best) {
 				out.Pruned = true
 				break
 			}
@@ -152,7 +204,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, c Case, inc Incumbent) (*Outco
 // every invocation produces a mean.
 //
 //rooflint:hotpath
-func (e *Evaluator) runIteration(ctx context.Context, key string, invocation int, inst Instance, b Budget, best float64, timeLeft time.Duration) InvocationResult {
+func (e *Evaluator) runIteration(ctx context.Context, key string, invocation int, inst Instance, b Budget, best float64, timeLeft time.Duration, bounds *boundTrace) InvocationResult {
 	inst.Warmup()
 
 	var (
@@ -235,9 +287,9 @@ func (e *Evaluator) runIteration(ctx context.Context, key string, invocation int
 		// Stop condition 4 (Listing 1): mean + marg < best, after at
 		// least MinCount iterations. This ends the *iteration loop*; the
 		// invocation loop continues (the "Outer" flag handles that level).
-		if b.UseInnerBound && n >= b.MinCount && !math.IsInf(best, -1) {
+		if b.UseInnerBound && n >= b.MinCount {
 			iv := e.interval(&w, b)
-			if iv.Mean+iv.Margin() < best {
+			if bounds.stop(iv.Mean+iv.Margin(), best) {
 				reason = StopBound
 				break
 			}

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rooftune/internal/hw"
 	"rooftune/internal/vclock"
 )
 
@@ -460,3 +462,59 @@ func TestEvaluateCancellation(t *testing.T) {
 type samplerFunc func()
 
 func (f samplerFunc) Sample(string, int, int, time.Duration, float64) { f() }
+
+// TestReproducesUnder pins the contract a sharded search confirms its
+// outcomes with: an outcome always reproduces under the bound it was
+// measured against, and whenever it claims to reproduce under another
+// bound, evaluating against that bound yields the identical outcome.
+// The bounds sweep across the case's own invocation means, where stop
+// condition 4's inner and outer decisions flip.
+func TestReproducesUnder(t *testing.T) {
+	sys, err := hw.Get("Gold 6148")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := DefaultBudget().WithFlags(true, true, true)
+	evaluate := func(bound float64) *Outcome {
+		t.Helper()
+		eng := NewSimEngine(sys, 1021)
+		out, err := NewEvaluator(eng.Clock, budget).Evaluate(context.Background(), eng.DGEMMCase(2048, 2048, 128, 1), Fixed(bound))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	free := evaluate(NoBest)
+	bounds := []float64{NoBest, 0, free.Mean * 0.5, free.Mean * 2}
+	for _, inv := range free.Invocations {
+		bounds = append(bounds, inv.Mean*0.999, inv.Mean, inv.Mean*1.001, inv.CI.Upper)
+	}
+	same := func(a, b *Outcome) bool {
+		return a.Mean == b.Mean && a.Pruned == b.Pruned && a.InnerStops == b.InnerStops &&
+			a.TotalSamples == b.TotalSamples && reflect.DeepEqual(a.Invocations, b.Invocations)
+	}
+	agreed, differed := 0, 0
+	for _, bound := range bounds {
+		out := evaluate(bound)
+		if !out.ReproducesUnder(bound) {
+			t.Fatalf("outcome measured against %v does not reproduce under it", bound)
+		}
+		for _, other := range bounds {
+			if !out.ReproducesUnder(other) {
+				differed++
+				continue
+			}
+			agreed++
+			if again := evaluate(other); !same(out, again) {
+				t.Fatalf("outcome measured against %v claims to reproduce under %v, but differs:\n%+v\n%+v",
+					bound, other, out, again)
+			}
+		}
+	}
+	if agreed == 0 || differed == 0 {
+		t.Fatalf("bound sweep exercised only one side of the contract (agreed %d, differed %d)", agreed, differed)
+	}
+	if (&Outcome{}).ReproducesUnder(NoBest) {
+		t.Fatal("an outcome Evaluate did not produce must never reproduce")
+	}
+}

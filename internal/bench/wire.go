@@ -30,24 +30,55 @@ import (
 // the wire contract: changing it invalidates every persisted cache
 // entry keyed on ConfigDigest.
 func ConfigCanonical(c Config) (string, error) {
+	b, err := AppendConfigCanonical(nil, c)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// AppendConfigCanonical appends ConfigCanonical's rendering of c to dst
+// and returns the extended buffer. It is the allocation-free form the
+// session fingerprint renders hundreds of cases through; the bytes are
+// exactly ConfigCanonical's.
+func AppendConfigCanonical(dst []byte, c Config) ([]byte, error) {
 	switch cfg := c.(type) {
 	case DGEMMConfig:
-		return fmt.Sprintf("DGEMMConfig{n=%d,m=%d,k=%d,sockets=%d,threads=%d}",
-			cfg.N, cfg.M, cfg.K, cfg.Sockets, cfg.Threads), nil
+		dst = appendField(append(dst, "DGEMMConfig{"...), "n=", cfg.N)
+		dst = appendField(append(dst, ','), "m=", cfg.M)
+		dst = appendField(append(dst, ','), "k=", cfg.K)
+		dst = appendField(append(dst, ','), "sockets=", cfg.Sockets)
+		dst = appendField(append(dst, ','), "threads=", cfg.Threads)
 	case TriadConfig:
-		return fmt.Sprintf("TriadConfig{elements=%d,affinity=%s,sockets=%d,threads=%d}",
-			cfg.Elements, cfg.Affinity, cfg.Sockets, cfg.Threads), nil
+		dst = appendField(append(dst, "TriadConfig{"...), "elements=", cfg.Elements)
+		dst = append(append(dst, ",affinity="...), cfg.Affinity.String()...)
+		dst = appendField(append(dst, ','), "sockets=", cfg.Sockets)
+		dst = appendField(append(dst, ','), "threads=", cfg.Threads)
 	case SpMVConfig:
-		return fmt.Sprintf("SpMVConfig{n=%d,nnzPerRow=%d,chunkRows=%d,sockets=%d,threads=%d}",
-			cfg.N, cfg.NNZPerRow, cfg.ChunkRows, cfg.Sockets, cfg.Threads), nil
+		dst = appendField(append(dst, "SpMVConfig{"...), "n=", cfg.N)
+		dst = appendField(append(dst, ','), "nnzPerRow=", cfg.NNZPerRow)
+		dst = appendField(append(dst, ','), "chunkRows=", cfg.ChunkRows)
+		dst = appendField(append(dst, ','), "sockets=", cfg.Sockets)
+		dst = appendField(append(dst, ','), "threads=", cfg.Threads)
 	case StencilConfig:
-		return fmt.Sprintf("StencilConfig{nx=%d,ny=%d,tileX=%d,tileY=%d,sockets=%d,threads=%d}",
-			cfg.NX, cfg.NY, cfg.TileX, cfg.TileY, cfg.Sockets, cfg.Threads), nil
+		dst = appendField(append(dst, "StencilConfig{"...), "nx=", cfg.NX)
+		dst = appendField(append(dst, ','), "ny=", cfg.NY)
+		dst = appendField(append(dst, ','), "tileX=", cfg.TileX)
+		dst = appendField(append(dst, ','), "tileY=", cfg.TileY)
+		dst = appendField(append(dst, ','), "sockets=", cfg.Sockets)
+		dst = appendField(append(dst, ','), "threads=", cfg.Threads)
 	case nil:
-		return "", fmt.Errorf("bench: ConfigCanonical(nil)")
+		return dst, fmt.Errorf("bench: ConfigCanonical(nil)")
 	default:
-		return "", fmt.Errorf("bench: ConfigCanonical: unsupported config variant %T", c)
+		return dst, fmt.Errorf("bench: ConfigCanonical: unsupported config variant %T", c)
 	}
+	return append(dst, '}'), nil
+}
+
+// appendField appends one name=value integer field of a canonical
+// rendering.
+func appendField(dst []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(dst, name...), int64(v), 10)
 }
 
 // ConfigDigest returns the canonical content digest of a configuration:
@@ -70,16 +101,29 @@ func ConfigDigest(c Config) (string, error) {
 // equal, so a cache key built on it never serves a Confidence-technique
 // result to a Default-technique request.
 func (b Budget) Canonical() string {
-	return fmt.Sprintf(
-		"Budget{invocations=%d,maxIterations=%d,maxTime=%d,scope=%s,errorInverse=%s,ciLevel=%s,"+
-			"confidence=%t,innerBound=%t,outerBound=%t,minCount=%d,minCISamples=%d,"+
-			"studentT=%t,median=%t,steadyState=%t,steadyWindow=%d,steadyThreshold=%s}",
-		b.Invocations, b.MaxIterations, int64(b.MaxTime), b.Scope,
-		strconv.FormatFloat(b.ErrorInverse, 'g', -1, 64),
-		strconv.FormatFloat(b.CILevel, 'g', -1, 64),
-		b.UseConfidence, b.UseInnerBound, b.UseOuterBound, b.MinCount, b.MinCISamples,
-		b.UseStudentT, b.UseMedian, b.UseSteadyState, b.SteadyWindow,
-		strconv.FormatFloat(b.SteadyThreshold, 'g', -1, 64))
+	return string(b.AppendCanonical(nil))
+}
+
+// AppendCanonical appends Canonical's rendering to dst and returns the
+// extended buffer.
+func (b Budget) AppendCanonical(dst []byte) []byte {
+	dst = appendField(append(dst, "Budget{"...), "invocations=", b.Invocations)
+	dst = appendField(append(dst, ','), "maxIterations=", b.MaxIterations)
+	dst = strconv.AppendInt(append(dst, ",maxTime="...), int64(b.MaxTime), 10)
+	dst = append(append(dst, ",scope="...), b.Scope.String()...)
+	dst = strconv.AppendFloat(append(dst, ",errorInverse="...), b.ErrorInverse, 'g', -1, 64)
+	dst = strconv.AppendFloat(append(dst, ",ciLevel="...), b.CILevel, 'g', -1, 64)
+	dst = strconv.AppendBool(append(dst, ",confidence="...), b.UseConfidence)
+	dst = strconv.AppendBool(append(dst, ",innerBound="...), b.UseInnerBound)
+	dst = strconv.AppendBool(append(dst, ",outerBound="...), b.UseOuterBound)
+	dst = appendField(append(dst, ','), "minCount=", b.MinCount)
+	dst = appendField(append(dst, ','), "minCISamples=", b.MinCISamples)
+	dst = strconv.AppendBool(append(dst, ",studentT="...), b.UseStudentT)
+	dst = strconv.AppendBool(append(dst, ",median="...), b.UseMedian)
+	dst = strconv.AppendBool(append(dst, ",steadyState="...), b.UseSteadyState)
+	dst = appendField(append(dst, ','), "steadyWindow=", b.SteadyWindow)
+	dst = strconv.AppendFloat(append(dst, ",steadyThreshold="...), b.SteadyThreshold, 'g', -1, 64)
+	return append(dst, '}')
 }
 
 // configWire is the JSON envelope for the Config sum: the variant name

@@ -2,7 +2,10 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -221,6 +224,128 @@ func BenchmarkDigest(b *testing.B) {
 			if _, err := ConfigDigest(c); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// sprintfCanonical is ConfigCanonical's reference rendering, written
+// with fmt the way the content address was first defined. The
+// strconv-based renderer must reproduce it byte for byte: the canonical
+// strings feed session fingerprints, which key persisted caches.
+func sprintfCanonical(c Config) string {
+	switch cfg := c.(type) {
+	case DGEMMConfig:
+		return fmt.Sprintf("DGEMMConfig{n=%d,m=%d,k=%d,sockets=%d,threads=%d}",
+			cfg.N, cfg.M, cfg.K, cfg.Sockets, cfg.Threads)
+	case TriadConfig:
+		return fmt.Sprintf("TriadConfig{elements=%d,affinity=%s,sockets=%d,threads=%d}",
+			cfg.Elements, cfg.Affinity, cfg.Sockets, cfg.Threads)
+	case SpMVConfig:
+		return fmt.Sprintf("SpMVConfig{n=%d,nnzPerRow=%d,chunkRows=%d,sockets=%d,threads=%d}",
+			cfg.N, cfg.NNZPerRow, cfg.ChunkRows, cfg.Sockets, cfg.Threads)
+	case StencilConfig:
+		return fmt.Sprintf("StencilConfig{nx=%d,ny=%d,tileX=%d,tileY=%d,sockets=%d,threads=%d}",
+			cfg.NX, cfg.NY, cfg.TileX, cfg.TileY, cfg.Sockets, cfg.Threads)
+	default:
+		panic(fmt.Sprintf("sprintfCanonical: unsupported variant %T", c))
+	}
+}
+
+// canonicalEdgeConfigs adds, per variant, the values a hand-rolled
+// integer renderer gets wrong first: zero, negative and extreme fields.
+var canonicalEdgeConfigs = map[string][]Config{
+	"DGEMMConfig": {
+		DGEMMConfig{},
+		DGEMMConfig{N: -1, M: math.MaxInt, K: math.MinInt, Sockets: 1, Threads: -7},
+	},
+	"TriadConfig": {
+		TriadConfig{},
+		TriadConfig{Elements: math.MaxInt, Affinity: hw.AffinityClose, Sockets: -2, Threads: math.MinInt},
+	},
+	"SpMVConfig": {
+		SpMVConfig{},
+		SpMVConfig{N: math.MinInt, NNZPerRow: -1, ChunkRows: math.MaxInt, Sockets: 10, Threads: 100},
+	},
+	"StencilConfig": {
+		StencilConfig{},
+		StencilConfig{NX: math.MaxInt, NY: -3, TileX: 1, TileY: math.MinInt, Sockets: 999, Threads: -1},
+	},
+}
+
+// TestAppendConfigCanonicalMatchesSprintf is the renderer's property
+// test: for every bench.Config variant in the configsum census — so a
+// new variant cannot skip it — ConfigCanonical equals both the
+// AppendConfigCanonical bytes (appended after an existing prefix, which
+// must survive untouched) and the fmt reference rendering.
+func TestAppendConfigCanonicalMatchesSprintf(t *testing.T) {
+	pkgs, err := lint.Load("../..", "./internal/bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want exactly internal/bench", len(pkgs))
+	}
+	variants, err := configsum.VariantNames(pkgs[0].Types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range variants {
+		rep, ok := wireConfigs[name]
+		edges, eok := canonicalEdgeConfigs[name]
+		if !ok || !eok {
+			t.Errorf("bench.Config variant %s has no canonical-rendering coverage: add it to wireConfigs and canonicalEdgeConfigs", name)
+			continue
+		}
+		for _, cfg := range append([]Config{rep}, edges...) {
+			canon, err := ConfigCanonical(cfg)
+			if err != nil {
+				t.Fatalf("%#v: %v", cfg, err)
+			}
+			if want := sprintfCanonical(cfg); canon != want {
+				t.Errorf("ConfigCanonical(%#v) = %q, reference %q", cfg, canon, want)
+			}
+			appended, err := AppendConfigCanonical([]byte("prefix|"), cfg)
+			if err != nil {
+				t.Fatalf("%#v: %v", cfg, err)
+			}
+			if string(appended) != "prefix|"+canon {
+				t.Errorf("AppendConfigCanonical(%#v) = %q, want %q", cfg, appended, "prefix|"+canon)
+			}
+		}
+	}
+	if _, err := AppendConfigCanonical(nil, nil); err == nil {
+		t.Error("AppendConfigCanonical(nil config) must fail")
+	}
+}
+
+// TestBudgetCanonicalMatchesSprintf pins Budget.Canonical to its fmt
+// reference rendering on the default budget and on one with every field
+// moved away from its default.
+func TestBudgetCanonicalMatchesSprintf(t *testing.T) {
+	ref := func(b Budget) string {
+		return fmt.Sprintf(
+			"Budget{invocations=%d,maxIterations=%d,maxTime=%d,scope=%s,errorInverse=%s,ciLevel=%s,"+
+				"confidence=%t,innerBound=%t,outerBound=%t,minCount=%d,minCISamples=%d,"+
+				"studentT=%t,median=%t,steadyState=%t,steadyWindow=%d,steadyThreshold=%s}",
+			b.Invocations, b.MaxIterations, int64(b.MaxTime), b.Scope,
+			strconv.FormatFloat(b.ErrorInverse, 'g', -1, 64),
+			strconv.FormatFloat(b.CILevel, 'g', -1, 64),
+			b.UseConfidence, b.UseInnerBound, b.UseOuterBound, b.MinCount, b.MinCISamples,
+			b.UseStudentT, b.UseMedian, b.UseSteadyState, b.SteadyWindow,
+			strconv.FormatFloat(b.SteadyThreshold, 'g', -1, 64))
+	}
+	moved := Budget{
+		Invocations: -3, MaxIterations: math.MaxInt, MaxTime: -time.Nanosecond, Scope: ScopePerInvocation,
+		ErrorInverse: 1e-300, CILevel: 0.995, UseConfidence: true, UseInnerBound: true, UseOuterBound: true,
+		MinCount: 2, MinCISamples: 9, UseStudentT: true, UseMedian: true, UseSteadyState: true,
+		SteadyWindow: 11, SteadyThreshold: math.Inf(1),
+	}
+	for _, b := range []Budget{DefaultBudget(), DefaultBudget().WithFlags(true, true, true), moved, {}} {
+		if got, want := b.Canonical(), ref(b); got != want {
+			t.Errorf("Budget.Canonical() = %q, reference %q", got, want)
+		}
+		if got := string(b.AppendCanonical([]byte("x"))); got != "x"+ref(b) {
+			t.Errorf("Budget.AppendCanonical = %q, want %q", got, "x"+ref(b))
 		}
 	}
 }

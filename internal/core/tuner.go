@@ -95,10 +95,11 @@ type Tuner struct {
 	// Shards is the number of workers evaluating cases concurrently
 	// within this one search (0 or 1 = the strictly serial loop). Workers
 	// claim cases from the ordered list in traversal order and share a
-	// monotone atomic incumbent bound, so pruning is always conservative
-	// and the winner is shard-count-invariant; see Run. Sharding is meant
-	// for simulated engines — concurrent wall-clock measurement on a
-	// native engine would contend on the host.
+	// monotone atomic incumbent bound, and their outcomes are confirmed
+	// against the serial bound chain, so the winner is
+	// shard-count-invariant; see Run. Sharding is meant for simulated
+	// engines — concurrent wall-clock measurement on a native engine
+	// would contend on the host.
 	Shards int
 	// Incumbent pre-seeds the incumbent bound (<= 0 means none): a caller
 	// that already knows a reference performance — a previous sweep's
@@ -148,24 +149,29 @@ func NewTuner(clock vclock.Clock, budget bench.Budget, order Order) *Tuner {
 //     in the snapshot came from a case at an earlier traversal index —
 //     the sharded search never knows more than the serial search did at
 //     the same case, and a case is pruned only against a mean some
-//     earlier-in-traversal configuration truly achieved. Pruning is
-//     therefore conservative: typically PrunedCount stays or drops
-//     relative to serial (workers race ahead of incumbent discovery) and
-//     TotalSamples stays or grows. That direction is a consequence of
-//     the subset property, not a hard theorem: outer pruning is itself a
-//     statistical decision, so a case serial pruned early can, under
-//     sharding, run to completion and offer a slightly different mean.
-//   - The winner is selected after all workers join, by replaying the
-//     serial selection scan over Result.All in traversal order: first
-//     non-pruned outcome with the strictly highest mean wins, so ties
-//     break by traversal-order index, never by completion order. Given
-//     the same per-case outcomes, winner selection is provably schedule-
-//     independent; per-case outcomes themselves match serial whenever the
-//     outer bound never misprunes, which holds on the calibrated
-//     simulated engines — there the winning configuration and its value
-//     are shard-count-invariant, asserted for every seed/order/space in
-//     the determinism suite (the sweep package's shard-invariance
-//     tests).
+//     earlier-in-traversal configuration truly achieved.
+//   - A snapshot may still lack values that earlier, still-running cases
+//     go on to measure, and stop condition 4 (inner and outer) reads the
+//     bound, so a case's measured outcome — the winner's value included
+//     — can depend on the schedule. Once all workers join, the outcomes
+//     are confirmed in traversal order against the bound the serial loop
+//     would have carried: an outcome whose every stop-condition-4
+//     decision would have gone the same way under that bound is the
+//     serial outcome (bench.Outcome.ReproducesUnder); any other case is
+//     re-evaluated against the serial bound. With an externally fed
+//     Shared bound there is no serial chain and the confirmation is
+//     skipped.
+//   - The winner is selected by replaying the serial selection scan over
+//     Result.All in traversal order: first non-pruned outcome with the
+//     strictly highest mean wins, so ties break by traversal-order index,
+//     never by completion order.
+//
+// On a deterministic engine (the simulated ones) the confirmed outcomes
+// are exactly the serial ones, so the winning configuration, its value,
+// PrunedCount and TotalSamples are shard-count-invariant — asserted for
+// every seed/order/space in the determinism suite (the sweep package's
+// shard-invariance tests). Only Elapsed also pays for the speculative
+// evaluations the confirmation replaced.
 //
 // Result.All is reassembled in traversal order regardless of completion
 // order. Per-outcome Elapsed under sharding spans the evaluation's
@@ -231,10 +237,56 @@ func (t *Tuner) runSerial(ctx context.Context, ordered []bench.Case) ([]*bench.O
 }
 
 // runSharded evaluates the ordered cases with t.Shards concurrent workers
-// sharing a monotone atomic incumbent. See Run for the protocol and its
-// guarantees. The first error in traversal order wins; on cancellation
-// every worker is joined before the ctx error is reported.
+// sharing a monotone atomic incumbent, then confirms the outcomes against
+// the serial bound chain (see confirmSerial). See Run for the protocol
+// and its guarantees. The first error in traversal order wins; on
+// cancellation every worker is joined before the ctx error is reported.
 func (t *Tuner) runSharded(ctx context.Context, ordered []bench.Case) ([]*bench.Outcome, error) {
+	outs, err := t.runShardWorkers(ctx, ordered)
+	if err != nil || t.Shared != nil {
+		// An externally fed bound moves on its own schedule, so there is
+		// no serial chain to confirm against.
+		return outs, err
+	}
+	if err := t.confirmSerial(ctx, ordered, outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// confirmSerial walks the outcomes in traversal order carrying the bound
+// the serial loop would have carried, and re-evaluates, in place and
+// against that bound, every case whose outcome would have differed
+// under it. A shard worker evaluates against a snapshot taken when it
+// claimed the case, which may lack values earlier cases were still
+// measuring; stop condition 4 then decides some checks differently and
+// the case's invocation means — the winner's value included — depend on
+// the schedule. After confirmation every outcome is the one the serial
+// search measures, so winners, values, PrunedCount and TotalSamples
+// match serial exactly; only the search time still pays for the
+// replaced evaluations. OnOutcome has already observed each case once,
+// as first measured, and is not called again for a re-evaluation.
+func (t *Tuner) confirmSerial(ctx context.Context, ordered []bench.Case, outs []*bench.Outcome) error {
+	best := t.seedBound()
+	for i, out := range outs {
+		if !out.ReproducesUnder(best) {
+			var err error
+			if out, err = t.Evaluator.Evaluate(ctx, ordered[i], bench.Fixed(best)); err != nil {
+				return err
+			}
+			outs[i] = out
+		}
+		if out.Better(best) {
+			best = out.Mean
+		}
+	}
+	return nil
+}
+
+// runShardWorkers is the concurrent phase of runSharded: t.Shards workers
+// claim cases in traversal order and evaluate each against a snapshot of
+// the shared bound.
+func (t *Tuner) runShardWorkers(ctx context.Context, ordered []bench.Case) ([]*bench.Outcome, error) {
 	shards := t.Shards
 	if shards > len(ordered) {
 		shards = len(ordered)

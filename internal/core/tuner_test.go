@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rooftune/internal/bench"
+	"rooftune/internal/hw"
 	"rooftune/internal/vclock"
 )
 
@@ -360,5 +361,56 @@ func TestRelativeError(t *testing.T) {
 func TestOrderString(t *testing.T) {
 	if OrderForward.String() != "forward" || OrderReverse.String() != "reverse" || OrderRandom.String() != "random" {
 		t.Fatal("order names")
+	}
+}
+
+// TestTunerShardedConfirmsSerialOutcomes: on a noisy simulated engine with
+// stop condition 4 active at both levels, shard workers measure against
+// schedule-dependent bound snapshots, yet after confirmation every
+// per-case outcome, the winner's value, PrunedCount and TotalSamples are
+// exactly the serial ones — repeatedly, so a lucky schedule cannot pass it.
+func TestTunerShardedConfirmsSerialOutcomes(t *testing.T) {
+	sys, err := hw.Get("2650v4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := bench.DefaultBudget().WithFlags(true, true, true)
+	space := UnionDGEMMSpace()[:24]
+	run := func(shards int) *Result {
+		t.Helper()
+		eng := bench.NewSimEngine(sys, 1021)
+		cases := make([]bench.Case, len(space))
+		for i, d := range space {
+			cases[i] = eng.DGEMMCase(d.N, d.M, d.K, 1)
+		}
+		tuner := NewTuner(eng.Clock, budget, OrderForward)
+		tuner.Shards = shards
+		res, err := tuner.Run(context.Background(), cases)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial := run(1)
+	for round := 0; round < 5; round++ {
+		for _, shards := range []int{2, 3, 8} {
+			res := run(shards)
+			if res.Best.Key != serial.Best.Key || res.BestValue() != serial.BestValue() {
+				t.Fatalf("shards=%d: winner %s %v, serial %s %v",
+					shards, res.Best.Key, res.BestValue(), serial.Best.Key, serial.BestValue())
+			}
+			if res.PrunedCount != serial.PrunedCount || res.TotalSamples != serial.TotalSamples {
+				t.Fatalf("shards=%d: pruned %d samples %d, serial pruned %d samples %d",
+					shards, res.PrunedCount, res.TotalSamples, serial.PrunedCount, serial.TotalSamples)
+			}
+			for i, out := range res.All {
+				want := serial.All[i]
+				if out.Key != want.Key || out.Mean != want.Mean || out.Pruned != want.Pruned ||
+					out.InnerStops != want.InnerStops || out.TotalSamples != want.TotalSamples {
+					t.Fatalf("shards=%d: outcome %d = %s mean %v pruned %v, serial %s mean %v pruned %v",
+						shards, i, out.Key, out.Mean, out.Pruned, want.Key, want.Mean, want.Pruned)
+				}
+			}
+		}
 	}
 }

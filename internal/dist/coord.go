@@ -164,17 +164,16 @@ func (c *Coordinator) Workers() (live, dead int) {
 }
 
 // Run executes the campaign's plan graph across the fleet and returns a
-// Result byte-identical to what sess.Run would have produced locally.
-// opts must be the resolved options the campaign fingerprints to —
-// workers rebuild the session from the wire campaign and verify the
-// fingerprint matches before running, so the campaign JSON and the
-// options must describe the same session.
-func (c *Coordinator) Run(ctx context.Context, camp servev1.Campaign, opts []rooftune.Option) (*rooftune.Result, error) {
+// Result byte-identical to what a local Session.Run would have produced.
+// campFP is the campaign's session fingerprint, which the caller has
+// already computed (the serving tier's cache key); opts must be the
+// resolved options the campaign fingerprints to, plus any
+// schedule-only options (host parallelism, progress). Workers resolve
+// the wire campaign themselves and reject every node whose fingerprint
+// does not match theirs, so a wrong campFP fails the run rather than
+// measuring a different session.
+func (c *Coordinator) Run(ctx context.Context, camp servev1.Campaign, campFP string, opts []rooftune.Option) (*rooftune.Result, error) {
 	sess, err := rooftune.New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	campFP, err := sess.Fingerprint()
 	if err != nil {
 		return nil, err
 	}
@@ -198,11 +197,12 @@ type attemptResult struct {
 	dead      bool // the failure indicts the worker, not the node spec
 }
 
-// execNode runs one plan node remotely: dispatch to the least-loaded
-// live worker, requeue on failure or lease expiry (without cancelling
-// the slow attempt — completion is idempotent by fingerprint and first
-// answer wins), dedupe late duplicates, and fall back to local
-// execution when the fleet is exhausted.
+// execNode runs one plan node remotely: dispatch to the live worker the
+// node's fingerprint ranks highest (Pool.pick), requeue on failure or
+// lease expiry (without cancelling the slow attempt — completion is
+// idempotent by fingerprint and first answer wins), dedupe late
+// duplicates, and fall back to local execution when the fleet is
+// exhausted.
 func (c *Coordinator) execNode(ctx context.Context, campJSON []byte, campFP, nodeID string, seedValue float64) (*distv1.NodeOutcome, error) {
 	fp := distv1.NodeFingerprint(campFP, nodeID, seedValue)
 	spec := distv1.NodeSpec{
@@ -228,7 +228,7 @@ func (c *Coordinator) execNode(ctx context.Context, campJSON []byte, campFP, nod
 	// launch claims the next untried live worker and starts an attempt;
 	// false means the fleet is exhausted for this node.
 	launch := func() bool {
-		url, ok := c.pool.pick(tried)
+		url, ok := c.pool.pick(fp, tried)
 		if !ok {
 			return false
 		}
@@ -312,7 +312,6 @@ func (c *Coordinator) await(ctx context.Context, results chan attemptResult, lau
 // won) are counted as deduped and dropped without a report — the loop
 // stopped listening the moment the winner arrived.
 func (c *Coordinator) attempt(ctx context.Context, url string, body []byte, fp string, won *atomic.Bool, results chan<- attemptResult) {
-	defer c.pool.release(url)
 	out, retryable, dead, err := c.postNode(ctx, url, body)
 	if err == nil && !won.CompareAndSwap(false, true) {
 		c.deduped.Add(1)

@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -31,10 +33,12 @@ const chainedCampaign = `{
 	"triadHiBytes": 268435456
 }`
 
-// parseCampaign resolves the JSON campaign into (wire form, options).
-func parseCampaign(t *testing.T, src string) (servev1.Campaign, []rooftune.Option) {
+// parseCampaign resolves the JSON campaign into (wire form, session
+// fingerprint, options), exactly as the serving tier resolves it before
+// handing it to the coordinator.
+func parseCampaign(t *testing.T, src string) (servev1.Campaign, string, []rooftune.Option) {
 	t.Helper()
-	camp, err := campaign.Parse(strings.NewReader(src))
+	camp, err := servev1.ParseCampaign(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +46,17 @@ func parseCampaign(t *testing.T, src string) (servev1.Campaign, []rooftune.Optio
 	if err != nil {
 		t.Fatal(err)
 	}
-	return camp, opts
+	fp, err := campaign.NewMemo(1).Fingerprint(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return camp, fp, opts
 }
 
 // localRun is the reference: the same campaign run in-process.
 func localRun(t *testing.T, src string) *rooftune.Result {
 	t.Helper()
-	_, opts := parseCampaign(t, src)
+	_, _, opts := parseCampaign(t, src)
 	sess, err := rooftune.New(opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +118,8 @@ func TestDistByteIdenticalToLocal(t *testing.T) {
 	w2 := startWorker(t, "w2", nil)
 	c := newTestCoordinator(t, time.Minute, w1, w2)
 
-	camp, opts := parseCampaign(t, chainedCampaign)
-	res, err := c.Run(context.Background(), camp, opts)
+	camp, fp, opts := parseCampaign(t, chainedCampaign)
+	res, err := c.Run(context.Background(), camp, fp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +170,8 @@ func TestWorkerKillMidSweepRequeues(t *testing.T) {
 	w2 := startWorker(t, "w2", nil)
 	c := newTestCoordinator(t, time.Minute, w1, w2)
 
-	camp, opts := parseCampaign(t, chainedCampaign)
-	res, err := c.Run(context.Background(), camp, opts)
+	camp, fp, opts := parseCampaign(t, chainedCampaign)
+	res, err := c.Run(context.Background(), camp, fp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +219,8 @@ func TestLeaseExpiryDuplicateCompletionDedupe(t *testing.T) {
 	fast := startWorker(t, "fast", nil)
 	c := newTestCoordinator(t, 50*time.Millisecond, slow, fast)
 
-	camp, opts := parseCampaign(t, chainedCampaign)
-	res, err := c.Run(context.Background(), camp, opts)
+	camp, fp, opts := parseCampaign(t, chainedCampaign)
+	res, err := c.Run(context.Background(), camp, fp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +257,7 @@ func TestCoordinatorRestartInFlightLeases(t *testing.T) {
 	w1 := startWorker(t, "w1", nil)
 	w2 := startWorker(t, "w2", nil)
 
-	camp, opts := parseCampaign(t, chainedCampaign)
+	camp, fp, opts := parseCampaign(t, chainedCampaign)
 
 	// First coordinator: cancelled almost immediately, mid-dispatch.
 	c1 := newTestCoordinator(t, time.Minute, w1, w2)
@@ -257,7 +265,7 @@ func TestCoordinatorRestartInFlightLeases(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = c1.Run(ctx1, camp, opts)
+		_, _ = c1.Run(ctx1, camp, fp, opts)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel1()
@@ -267,7 +275,7 @@ func TestCoordinatorRestartInFlightLeases(t *testing.T) {
 	// coordinator managed to start is either still running (joined) or
 	// cached (replayed) on the workers.
 	c2 := newTestCoordinator(t, time.Minute, w1, w2)
-	res, err := c2.Run(context.Background(), camp, opts)
+	res, err := c2.Run(context.Background(), camp, fp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +290,7 @@ func TestCoordinatorRestartInFlightLeases(t *testing.T) {
 	// nothing — every node answers from the completion caches.
 	before := w1.w.nodesRun.Load() + w2.w.nodesRun.Load()
 	c3 := newTestCoordinator(t, time.Minute, w1, w2)
-	res2, err := c3.Run(context.Background(), camp, opts)
+	res2, err := c3.Run(context.Background(), camp, fp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +318,8 @@ func TestLocalFallbackNoWorkers(t *testing.T) {
 	defer cancel()
 	c.Start(ctx)
 
-	camp, opts := parseCampaign(t, chainedCampaign)
-	res, err := c.Run(context.Background(), camp, opts)
+	camp, fp, opts := parseCampaign(t, chainedCampaign)
+	res, err := c.Run(context.Background(), camp, fp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,5 +374,61 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mismatched fingerprint: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestWarmMemoStillRejectsTamperedFingerprint: a worker whose campaign
+// memo already holds the campaign (it just ran one of its nodes) still
+// verifies every spec's fingerprint — the memo skips re-resolution,
+// never the check.
+func TestWarmMemoStillRejectsTamperedFingerprint(t *testing.T) {
+	w := startWorker(t, "w", nil)
+	camp, campFP, _ := parseCampaign(t, chainedCampaign)
+	campJSON, err := json.Marshal(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(fp string) (int, []byte) {
+		t.Helper()
+		spec, err := json.Marshal(distv1.NodeSpec{
+			Schema: distv1.Schema, Campaign: campJSON, NodeID: "triad/DRAM/1s", Fingerprint: fp,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(w.ts.URL+distv1.PathRun, "application/json", bytes.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	good := distv1.NodeFingerprint(campFP, "triad/DRAM/1s", 0)
+	if status, body := post(good); status != http.StatusOK {
+		t.Fatalf("valid spec: status %d: %s", status, body)
+	}
+	if n := w.w.memo.Len(); n != 1 {
+		t.Fatalf("worker memo holds %d campaigns after one node, want 1", n)
+	}
+	tampered := []byte(good)
+	tampered[0] ^= 1
+	status, body := post(string(tampered))
+	if status != http.StatusBadRequest {
+		t.Fatalf("tampered fingerprint with a warm memo: status %d, want 400: %s", status, body)
+	}
+	var env distv1.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Code != distv1.CodeBadNode {
+		t.Fatalf("tampered fingerprint: error code %q, want %q", env.Error.Code, distv1.CodeBadNode)
+	}
+	if got := w.w.nodesRun.Load(); got != 1 {
+		t.Fatalf("worker measured %d nodes, want only the valid one", got)
 	}
 }

@@ -59,16 +59,18 @@ const (
 
 // workerRef is one enrolled worker. All fields are guarded by Pool.mu.
 type workerRef struct {
-	url      string
-	name     string // self-reported on the last successful probe
-	state    workerState
-	inflight int // coordinator-side dispatches outstanding
+	url   string
+	name  string // self-reported on the last successful probe
+	state workerState
 }
 
 // Pool tracks the worker fleet: a fixed URL set enrolled and
-// health-checked via the dist/v1 heartbeat. Dispatch picks the
-// least-loaded live worker; a failed probe or dispatch marks the worker
-// dead until a later probe revives it.
+// health-checked via the dist/v1 heartbeat. Dispatch places each node
+// on the live worker its fingerprint ranks highest (rendezvous hashing
+// over fleet positions), so every dispatch of one node — from this
+// coordinator or a restarted one — reaches the worker that is running
+// it or holds its completion; a failed probe or dispatch marks the
+// worker dead until a later probe revives it.
 type Pool struct {
 	client    *http.Client
 	heartbeat time.Duration
@@ -174,37 +176,49 @@ func (p *Pool) probe(ctx context.Context, url string) (distv1.Heartbeat, error) 
 	return hb, nil
 }
 
-// pick claims the least-loaded live worker not in exclude, returning
-// its URL and bumping its in-flight count. ok is false when no live
+// pick returns the live worker not in exclude that ranks highest for
+// the node fingerprint fp. The ranking depends only on fp and each
+// worker's position in the configured fleet, so repeated, replayed and
+// post-restart dispatches of one node (by coordinators configured with
+// the same worker list) agree on its worker and hit that worker's
+// running-node join or completion cache instead of measuring again;
+// distinct nodes spread across the fleet. ok is false when no live
 // worker remains — the caller falls back to local execution.
-func (p *Pool) pick(exclude map[string]bool) (url string, ok bool) {
+func (p *Pool) pick(fp string, exclude map[string]bool) (url string, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var best *workerRef
-	for _, w := range p.workers {
+	var (
+		best      *workerRef
+		bestScore uint64
+	)
+	for slot, w := range p.workers {
 		if w.state != workerLive || exclude[w.url] {
 			continue
 		}
-		if best == nil || w.inflight < best.inflight {
-			best = w
+		if score := rendezvous(fp, slot); best == nil || score > bestScore {
+			best, bestScore = w, score
 		}
 	}
 	if best == nil {
 		return "", false
 	}
-	best.inflight++
 	return best.url, true
 }
 
-// release returns a claim taken by pick.
-func (p *Pool) release(url string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.url == url && w.inflight > 0 {
-			w.inflight--
-		}
+// rendezvous scores a (node, fleet slot) pair: FNV-1a over the node
+// fingerprint and the slot, then a 64-bit finalizer so adjacent slots
+// rank independently.
+func rendezvous(fp string, slot int) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(fp); i++ {
+		h = (h ^ uint64(fp[i])) * prime
 	}
+	h = (h ^ uint64(slot)) * prime
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
 // markDead records a dispatch-observed failure: the worker receives no

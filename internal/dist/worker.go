@@ -15,6 +15,7 @@ import (
 	"rooftune/internal/serve/budget"
 	"rooftune/internal/serve/campaign"
 	"rooftune/internal/serve/metrics"
+	servev1 "rooftune/serve/v1"
 )
 
 // WorkerConfig configures a Worker.
@@ -28,7 +29,8 @@ type WorkerConfig struct {
 	Parallelism int
 	// CacheEntries bounds the completed-node cache that makes dispatch
 	// idempotent (<=0: 256). Entries are small (one wire outcome each);
-	// evicting one only costs a re-measure on replay.
+	// evicting one only costs a re-measure on replay. The same bound
+	// caps the campaign→fingerprint memo.
 	CacheEntries int
 }
 
@@ -44,18 +46,19 @@ type runningNode struct {
 	status int
 }
 
-// Worker executes dist/v1 node specs: it rebuilds the session from the
-// wire campaign through the same resolution path the coordinator
-// fingerprinted (internal/serve/campaign), verifies the node
-// fingerprint, and runs the node under the shared host budget.
-// Completion is idempotent: a running fingerprint is joined, a
-// completed one is answered from the cache — so requeued, duplicated
-// or replayed dispatches (including after a coordinator restart) cost
-// no extra measurement.
+// Worker executes dist/v1 node specs: it resolves the wire campaign's
+// fingerprint through the same resolution path the coordinator used
+// (internal/serve/campaign, memoized so the nodes of one campaign
+// resolve it once), verifies the node fingerprint, and runs the node
+// under the shared host budget. Completion is idempotent: a running
+// fingerprint is joined, a completed one is answered from the cache —
+// so requeued, duplicated or replayed dispatches (including after a
+// coordinator restart) cost no extra measurement.
 type Worker struct {
 	base    context.Context
 	name    string
 	budget  *budget.Budget
+	memo    *campaign.Memo
 	maxDone int
 
 	mu      sync.Mutex
@@ -83,6 +86,7 @@ func NewWorker(base context.Context, cfg WorkerConfig) *Worker {
 		base:    base,
 		name:    cfg.Name,
 		budget:  budget.New(cfg.Parallelism),
+		memo:    campaign.NewMemo(cfg.CacheEntries),
 		maxDone: cfg.CacheEntries,
 		running: make(map[string]*runningNode),
 		done:    make(map[string][]byte),
@@ -166,29 +170,19 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Resolve the campaign through the shared resolution path and
-	// verify the fingerprint: a mismatch means this worker would
-	// measure a different session than the coordinator addressed, and
-	// running it would poison the sweep with a wrong-but-plausible
-	// outcome.
-	camp, err := campaign.Parse(bytes.NewReader(spec.Campaign))
+	// Resolve the campaign's fingerprint through the shared resolution
+	// path and verify the node fingerprint: a mismatch means this worker
+	// would measure a different session than the coordinator addressed,
+	// and running it would poison the sweep with a wrong-but-plausible
+	// outcome. The memo skips only the re-resolution, never this check.
+	camp, err := servev1.ParseCampaign(bytes.NewReader(spec.Campaign))
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, distv1.CodeBadNode, "campaign: %v", err)
 		return
 	}
-	opts, err := campaign.Options(camp)
+	campFP, err := w.memo.Fingerprint(camp)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, distv1.CodeBadNode, "campaign: %v", err)
-		return
-	}
-	sess, err := rooftune.New(opts...)
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, distv1.CodeBadNode, "campaign: %v", err)
-		return
-	}
-	campFP, err := sess.Fingerprint()
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, distv1.CodeBadNode, "fingerprint: %v", err)
 		return
 	}
 	want := distv1.NodeFingerprint(campFP, spec.NodeID, spec.SeedValue)
@@ -224,7 +218,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	w.running[want] = rn
 	w.mu.Unlock()
 
-	w.execute(rn, sess, spec, want)
+	w.execute(rn, camp, spec, want)
 	w.respond(rw, rn.status, want, false, rn.out)
 }
 
@@ -232,31 +226,14 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 // out/status filled, the fingerprint moved from running to the
 // completed cache (successes only — failures are transient), done
 // closed last so joiners observe a fully-written result.
-func (w *Worker) execute(rn *runningNode, sess *rooftune.Session, spec distv1.NodeSpec, fp string) {
+func (w *Worker) execute(rn *runningNode, camp servev1.Campaign, spec distv1.NodeSpec, fp string) {
 	// The host budget divides the machine among concurrently running
-	// nodes, exactly like concurrent jobs on the serving tier.
+	// nodes, exactly like concurrent jobs on the serving tier. The node's
+	// one Session is built with the leased share; host parallelism is
+	// excluded from the fingerprint, so it still addresses fp.
 	lease := w.budget.Acquire()
 	defer lease.Release()
-	runSess := sess
-	if share := lease.Share(); share > 0 {
-		// Rebuild with the leased share; resolution is deterministic,
-		// and host parallelism is excluded from the fingerprint.
-		camp, err := campaign.Parse(bytes.NewReader(spec.Campaign))
-		if err == nil {
-			if opts, err := campaign.Options(camp); err == nil {
-				opts = append(opts, rooftune.WithHostParallelism(share))
-				if s2, err := rooftune.New(opts...); err == nil {
-					runSess = s2
-				}
-			}
-		}
-	}
-	if spec.SeedValue > 0 {
-		rn.bound.Offer(spec.SeedValue)
-	}
-	start := time.Now()
-	out, err := runSess.RunNode(w.base, spec.NodeID, spec.SeedValue, rn.bound)
-	w.nodeSeconds.Observe(time.Since(start).Seconds())
+	out, err := w.runNode(rn, camp, spec, lease.Share())
 
 	var status int
 	var body []byte
@@ -292,6 +269,25 @@ func (w *Worker) execute(rn *runningNode, sess *rooftune.Session, spec distv1.No
 	}
 	w.mu.Unlock()
 	close(rn.done)
+}
+
+// runNode builds the node's Session with the leased host share and
+// measures the node, seeded by the spec's incumbent.
+func (w *Worker) runNode(rn *runningNode, camp servev1.Campaign, spec distv1.NodeSpec, share int) (*distv1.NodeOutcome, error) {
+	opts, err := campaign.Options(camp)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := rooftune.New(append(opts, rooftune.WithHostParallelism(share))...)
+	if err != nil {
+		return nil, err
+	}
+	if spec.SeedValue > 0 {
+		rn.bound.Offer(spec.SeedValue)
+	}
+	start := time.Now()
+	defer func() { w.nodeSeconds.Observe(time.Since(start).Seconds()) }()
+	return sess.RunNode(w.base, spec.NodeID, spec.SeedValue, rn.bound)
 }
 
 // handleBound applies a pushed incumbent bound (POST /dist/v1/bound) to

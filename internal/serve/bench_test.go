@@ -11,15 +11,32 @@ import (
 // BenchmarkServeCacheHit measures the full HTTP round trip of a
 // cache-hit tune request: campaign parse, fingerprint, cache lookup,
 // stored-bytes response. This is the daemon's steady-state hot path —
-// a warm cache answers every repeat campaign through it.
+// a warm cache answers every repeat campaign through it. The toy
+// counting workload plans a handful of cases; see
+// BenchmarkServeCacheHitLevels for a realistic campaign.
 func BenchmarkServeCacheHit(b *testing.B) {
+	benchCacheHit(b, `{"system": "Gold 6148", "workloads": ["counting"], "seed": 97}`)
+}
+
+// BenchmarkServeCacheHitLevels is the cache hit for a realistic campaign:
+// chained TRIAD at L1/L2/L3/DRAM on Gold 6148, eight plan nodes and
+// 130 planned cases. Any per-hit work that scales with the plan
+// (planning, fingerprint rendering) shows here and hides in the toy
+// benchmark above.
+func BenchmarkServeCacheHitLevels(b *testing.B) {
+	benchCacheHit(b, `{"system": "Gold 6148", "workloads": ["triad"], "triadLevels": ["L1", "L2", "L3", "DRAM"], "chain": true, "seed": 97}`)
+}
+
+// benchCacheHit warms the cache with one run of campaign, then times
+// repeat submissions, each of which must be a hit.
+func benchCacheHit(b *testing.B, campaign string) {
+	b.ReportAllocs()
 	srv, err := New(nil, Config{CacheEntries: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	campaign := `{"system": "Gold 6148", "workloads": ["counting"], "seed": 97}`
 
 	warm, err := http.Post(ts.URL+"/v1/tune", "application/json", strings.NewReader(campaign))
 	if err != nil {

@@ -163,6 +163,11 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
+// MaxEntries reports the resident-entry bound the cache enforces (the
+// configured bound, or the default when none was set), so companion
+// structures can be bounded alike.
+func (c *Cache) MaxEntries() int { return c.cfg.MaxEntries }
+
 // deadline converts a write time into the entry's expiry (zero when the
 // cache has no TTL).
 func (c *Cache) deadline(written time.Time) time.Time {

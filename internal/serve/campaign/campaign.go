@@ -9,7 +9,6 @@ package campaign
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"rooftune"
@@ -18,13 +17,6 @@ import (
 	"rooftune/internal/units"
 	servev1 "rooftune/serve/v1"
 )
-
-// Parse decodes a campaign, rejecting unknown fields — a typoed knob
-// must fail the request, not silently run the default campaign and
-// cache it under the wrong intent.
-func Parse(r io.Reader) (servev1.Campaign, error) {
-	return servev1.ParseCampaign(r)
-}
 
 // Options resolves a wire campaign into session options. The case-shard
 // count is always pinned to one: adaptive sharding may change the

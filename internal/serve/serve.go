@@ -1,3 +1,38 @@
+// Package serve is the rooftune daemon: a long-lived HTTP service that
+// accepts JSON campaign specs, resolves them through the same Session
+// machinery the library exposes, and memoizes every completed Result in
+// a content-addressed cache keyed by the session fingerprint.
+//
+// The contract that makes the cache sound is determinism: served
+// campaigns target simulated systems only and run with the case-shard
+// count pinned to one, so a campaign's Result is a pure function of its
+// fingerprint and a cache hit is byte-for-byte the response a fresh run
+// would have produced — with zero kernel executions. Native targets are
+// rejected: wall-clock measurements are not content-addressable (the
+// same campaign legitimately yields different numbers run to run).
+//
+// Concurrent identical submissions collapse onto one run (singleflight
+// via the jobs registry), concurrent distinct campaigns divide the host
+// under a shared parallelism budget instead of each assuming the whole
+// machine, and an admission controller bounds how many runs execute and
+// wait at once — excess load is shed deterministically with 429 +
+// Retry-After rather than queued without bound.
+//
+// With workers configured (Config.Workers), the daemon additionally
+// runs as the distributed tier's coordinator: cache and admission stay
+// in front, but each admitted campaign's plan-graph nodes fan out to
+// roofworkerd processes over the rooftune/dist/v1 contract, with
+// lease-based requeue from dead or slow workers and graceful local
+// fallback — see internal/dist.
+//
+// The wire contract itself (Campaign, JobStatus, the error envelope)
+// lives in the versioned rooftune/serve/v1 package, and resolving a
+// wire campaign into session options and its fingerprint lives in
+// internal/serve/campaign (shared with the distributed workers); this
+// package owns the daemon behaviour. Each distinct campaign is resolved
+// once per process: a bounded campaign→fingerprint memo, sized by the
+// result cache's entry bound, answers repeat submissions without
+// rebuilding their Session.
 package serve
 
 import (
@@ -15,6 +50,7 @@ import (
 	"rooftune/internal/serve/admit"
 	"rooftune/internal/serve/budget"
 	"rooftune/internal/serve/cache"
+	"rooftune/internal/serve/campaign"
 	"rooftune/internal/serve/jobs"
 	"rooftune/internal/serve/metrics"
 	servev1 "rooftune/serve/v1"
@@ -90,6 +126,7 @@ type Server struct {
 	base    context.Context
 	cfg     Config
 	cache   *cache.Cache
+	memo    *campaign.Memo // campaign -> fingerprint, bounded like cache
 	reg     *jobs.Registry
 	budget  *budget.Budget
 	adm     *admit.Controller
@@ -116,6 +153,7 @@ func New(base context.Context, cfg Config) (*Server, error) {
 		base:    base,
 		cfg:     cfg,
 		cache:   c,
+		memo:    campaign.NewMemo(c.MaxEntries()),
 		reg:     jobs.NewRegistry(),
 		budget:  budget.New(cfg.Parallelism),
 		metrics: metrics.NewSet(),
@@ -240,30 +278,20 @@ func clientID(r *http.Request) string {
 	return "anonymous"
 }
 
-// resolve parses a campaign and computes its fingerprint — the cache
-// key and singleflight identity. The throwaway session exists only to
-// fingerprint; each run builds its own (a Session executes one Run at a
-// time, and the run's session carries the job's progress hook and
-// budget lease). The parsed wire campaign rides along because in
-// coordinator mode it crosses to the workers verbatim.
-func (s *Server) resolve(r *http.Request) (key string, camp Campaign, opts []rooftune.Option, err error) {
-	camp, err = ParseCampaign(r.Body)
+// resolve parses a campaign and returns its fingerprint — the cache
+// key and singleflight identity — from the campaign memo, so only the
+// first sighting of a campaign builds a Session to fingerprint it. Runs
+// build their own Session (a Session executes one Run at a time, and
+// the run's session carries the job's progress hook and budget lease).
+// The parsed wire campaign rides along because in coordinator mode it
+// crosses to the workers verbatim.
+func (s *Server) resolve(r *http.Request) (key string, camp servev1.Campaign, err error) {
+	camp, err = servev1.ParseCampaign(r.Body)
 	if err != nil {
-		return "", camp, nil, err
+		return "", camp, err
 	}
-	opts, err = CampaignOptions(camp)
-	if err != nil {
-		return "", camp, nil, err
-	}
-	sess, err := rooftune.New(opts...)
-	if err != nil {
-		return "", camp, nil, fmt.Errorf("serve: invalid campaign: %w", err)
-	}
-	key, err = sess.Fingerprint()
-	if err != nil {
-		return "", camp, nil, fmt.Errorf("serve: fingerprint: %w", err)
-	}
-	return key, camp, opts, nil
+	key, err = s.memo.Fingerprint(camp)
+	return key, camp, err
 }
 
 // launch returns the in-flight job for the fingerprint, starting a run
@@ -272,7 +300,7 @@ func (s *Server) resolve(r *http.Request) (key string, camp Campaign, opts []roo
 // — including a shed (an identical flood costs one admission slot, not
 // N). A shed job is terminal immediately, so every joiner observes the
 // refusal and a later resubmission gets a fresh admission attempt.
-func (s *Server) launch(key, client string, camp Campaign, opts []rooftune.Option) *jobs.Job {
+func (s *Server) launch(key, client string, camp servev1.Campaign) *jobs.Job {
 	job, created := s.reg.GetOrCreate(key)
 	if !created {
 		return job
@@ -292,7 +320,7 @@ func (s *Server) launch(key, client string, camp Campaign, opts []rooftune.Optio
 	// the admission queue must release its ticket, not its run.
 	job.Arm(cancel)
 	//rooflint:allow nogoroutine -- job executor; bounded by s.base, joined by job.Wait/terminal state before anyone reads the result
-	go s.run(ctx, cancel, job, ticket, camp, opts)
+	go s.run(ctx, cancel, job, ticket, camp)
 	return job
 }
 
@@ -300,7 +328,7 @@ func (s *Server) launch(key, client string, camp Campaign, opts []rooftune.Optio
 // running, acquire a host-budget lease, build the job's session
 // (progress wired to the job's event history, host parallelism capped
 // to the lease's share), run it, serialize, cache, finish.
-func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.Job, ticket *admit.Ticket, camp Campaign, opts []rooftune.Option) {
+func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.Job, ticket *admit.Ticket, camp servev1.Campaign) {
 	defer cancel()
 	if err := ticket.Wait(ctx); err != nil {
 		job.Fail(fmt.Errorf("serve: job %s: cancelled while queued: %w", job.ID, err))
@@ -310,20 +338,25 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.J
 	job.Start(cancel)
 	lease := s.budget.Acquire()
 	defer lease.Release()
+	opts, err := campaign.Options(camp)
+	if err != nil {
+		job.Fail(fmt.Errorf("serve: job %s: %w", job.ID, err))
+		return
+	}
 	opts = append(opts,
 		rooftune.WithHostParallelism(lease.Share()),
 		rooftune.WithProgress(job.Emit),
 	)
 	started := time.Now()
 	var res *rooftune.Result
-	var err error
 	if s.dist != nil {
 		// Coordinator mode: the campaign's plan-graph nodes fan out to
-		// the worker fleet. Neither the lease share nor the progress
-		// hook enters the fingerprint, so the coordinator addresses the
-		// same content the cache key names; nodes that cannot be placed
-		// remotely run locally inside the same schedule.
-		res, err = s.dist.Run(ctx, camp, opts)
+		// the worker fleet under the fingerprint resolve already
+		// computed. Neither the lease share nor the progress hook enters
+		// the fingerprint, so the coordinator addresses the same content
+		// the cache key names; nodes that cannot be placed remotely run
+		// locally inside the same schedule.
+		res, err = s.dist.Run(ctx, camp, job.Key, opts)
 	} else {
 		var sess *rooftune.Session
 		sess, err = rooftune.New(opts...)
@@ -359,7 +392,7 @@ func (s *Server) run(ctx context.Context, cancel context.CancelFunc, job *jobs.J
 // that disconnects while waiting releases its watch; if it was the last
 // watcher, the run is cancelled.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	key, camp, opts, err := s.resolve(r)
+	key, camp, err := s.resolve(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, servev1.CodeBadCampaign, err, 0)
 		return
@@ -369,7 +402,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		writeResult(w, data, true)
 		return
 	}
-	job := s.launch(key, clientID(r), camp, opts)
+	job := s.launch(key, clientID(r), camp)
 	w.Header().Set(JobHeader, job.ID)
 	job.AddWatcher()
 	defer job.RemoveWatcher()
@@ -412,7 +445,7 @@ func statusOf(snap jobs.Snapshot) servev1.JobStatus {
 // its handle. A cache hit mints an already-done job so clients have one
 // uniform flow; a shed admission answers 429 like the synchronous path.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	key, camp, opts, err := s.resolve(r)
+	key, camp, err := s.resolve(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, servev1.CodeBadCampaign, err, 0)
 		return
@@ -429,7 +462,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, statusOf(job.Snapshot()))
 		return
 	}
-	job := s.launch(key, clientID(r), camp, opts)
+	job := s.launch(key, clientID(r), camp)
 	job.Pin()
 	w.Header().Set(JobHeader, job.ID)
 	snap := job.Snapshot()

@@ -17,9 +17,11 @@ import (
 
 	"rooftune"
 	"rooftune/internal/bench"
+	"rooftune/internal/serve/campaign"
 	"rooftune/internal/serve/jobs"
 	"rooftune/internal/sweep"
 	"rooftune/internal/vclock"
+	servev1 "rooftune/serve/v1"
 )
 
 // kernelExecutions counts every simulated kernel execution the counting
@@ -105,6 +107,21 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// campaignOptions parses a wire campaign and resolves its session
+// options exactly as the daemon does.
+func campaignOptions(t *testing.T, src string) []rooftune.Option {
+	t.Helper()
+	c, err := servev1.ParseCampaign(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := campaign.Options(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opts
+}
+
 func postTune(t *testing.T, base string, campaign string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/tune", "application/json", strings.NewReader(campaign))
@@ -144,15 +161,7 @@ func TestTuneBitIdenticalToInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	campaign, err := ParseCampaign(strings.NewReader(tinyCampaign))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := CampaignOptions(campaign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := rooftune.New(opts...)
+	sess, err := rooftune.New(campaignOptions(t, tinyCampaign)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +214,50 @@ func TestCacheHitZeroKernelExecutions(t *testing.T) {
 		resp1.Header.Get(FingerprintHeader) != resp2.Header.Get(FingerprintHeader) {
 		t.Fatalf("fingerprint headers diverge: %q vs %q",
 			resp1.Header.Get(FingerprintHeader), resp2.Header.Get(FingerprintHeader))
+	}
+}
+
+// TestCampaignVariantsShareMemoEntry: whitespace and key-order variants
+// of one campaign resolve through one memo entry, carry the same
+// fingerprint header, and the later variants are byte-identical cache
+// hits. A campaign the daemon rejects is not memoized.
+func TestCampaignVariantsShareMemoEntry(t *testing.T) {
+	srv, ts := newTestServer(t)
+	variants := []string{
+		`{"system": "Gold 6148", "workloads": ["counting"], "seed": 13}`,
+		`{"seed":13,"workloads":["counting"],"system":"Gold 6148"}`,
+		"{\n  \"workloads\": [ \"counting\" ],\n  \"seed\": 13,\n  \"system\": \"Gold 6148\"\n}\n",
+	}
+	var fp string
+	var first []byte
+	for i, src := range variants {
+		resp, body := postTune(t, ts.URL, src)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("variant %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		got := resp.Header.Get(FingerprintHeader)
+		if i == 0 {
+			fp, first = got, body
+			continue
+		}
+		if got != fp {
+			t.Errorf("variant %d: %s %q, want %q", i, FingerprintHeader, got, fp)
+		}
+		if disp := resp.Header.Get(CacheHeader); disp != "hit" {
+			t.Errorf("variant %d: %s = %q, want hit", i, CacheHeader, disp)
+		}
+		if !bytes.Equal(body, first) {
+			t.Errorf("variant %d: response differs from the first variant's", i)
+		}
+	}
+	if n := srv.memo.Len(); n != 1 {
+		t.Fatalf("%d memo entries for one campaign's variants, want 1", n)
+	}
+	if resp, body := postTune(t, ts.URL, `{"system": "warp-drive"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown system: status %d: %s", resp.StatusCode, body)
+	}
+	if n := srv.memo.Len(); n != 1 {
+		t.Fatalf("a rejected campaign was memoized: %d entries", n)
 	}
 }
 
@@ -324,16 +377,8 @@ func TestSSEMatchesWithProgress(t *testing.T) {
 	campaign := `{"system": "Gold 6148", "workloads": ["counting"], "serial": true, "seed": 11}`
 
 	// In-process reference: same campaign, progress collected directly.
-	parsed, err := ParseCampaign(strings.NewReader(campaign))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts, err := CampaignOptions(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want []rooftune.Event
-	sess, err := rooftune.New(append(opts, rooftune.WithProgress(func(ev rooftune.Event) {
+	sess, err := rooftune.New(append(campaignOptions(t, campaign), rooftune.WithProgress(func(ev rooftune.Event) {
 		want = append(want, ev)
 	}))...)
 	if err != nil {

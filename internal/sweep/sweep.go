@@ -13,9 +13,10 @@
 // Orthogonally, CaseShards parallelises *within* one sweep: shard workers
 // evaluate the ordered case list concurrently under core.Tuner's
 // order-insensitive incumbent protocol. That is a weaker guarantee than
-// across-sweep concurrency — the winner and its value are invariant, but
-// pruning counts and sample totals may differ from serial (only ever
-// toward less pruning). The default policy sizes shard pools adaptively
+// across-sweep concurrency — the winner, its value, the pruning count
+// and sample totals are invariant, but the search time also pays for the
+// speculative evaluations the tuner's serial confirmation replaced. The
+// default policy sizes shard pools adaptively
 // from spare host parallelism; pin CaseShards to 1 for the strictly
 // serial evaluation loop.
 //

@@ -263,11 +263,13 @@ func WithProgress(fn func(Event)) Option {
 // capped by the sweep's case count, and sharding auto-disables whenever
 // sweep-level parallelism already saturates the host (so on most hosts
 // the default is still serial evaluation). Sharded workers share a
-// monotone atomic incumbent bound, so stop condition 4 keeps pruning
-// conservatively and the winning configuration and value match serial
-// execution exactly on the simulated engines — only PrunedCount,
-// TotalSamples and SearchTime may differ (toward less pruning, never
-// more). Case sharding requires a simulated target: native wall-clock
+// monotone atomic incumbent bound, and every outcome is confirmed
+// against the bound the serial loop would have used (re-evaluating the
+// cases whose stop-condition-4 decisions it would change), so the
+// winning configurations, values, PrunedCount and TotalSamples match
+// serial execution exactly on the simulated engines — only SearchTime
+// also pays for the speculative evaluations that were replaced. Case
+// sharding requires a simulated target: native wall-clock
 // measurement would contend on the host, so New rejects n > 1 with
 // WithNative and native sessions always evaluate serially.
 func WithCaseShards(n int) Option {
@@ -329,9 +331,23 @@ func WithWorkloads(names ...string) Option {
 // target two concurrent runs would contend on the wall clock and corrupt
 // both measurements; a serving tier that wants concurrency creates one
 // Session per job).
+//
+// On a simulated target New retains the plan graph it builds for
+// validation. That graph is read, never executed — its simulated
+// engines carry clocks a run would advance — so Run, RunDist and RunNode
+// each plan their own. Fingerprint reads the retained graph instead of
+// planning again, and computes the fingerprint at most once per
+// Session.
 type Session struct {
 	cfg       settings
 	workloads []Workload
+	// graph is New's validation plan graph (nil on native targets, whose
+	// planning is deferred to Run). Read-only: see the type comment.
+	graph []sweep.Node
+	// fpOnce guards the memoized Fingerprint result.
+	fpOnce sync.Once
+	fp     string
+	fpErr  error
 	// running guards the one-Run-at-a-time contract; see ErrConcurrentRun.
 	running atomic.Bool
 }
@@ -445,11 +461,13 @@ func New(opts ...Option) (*Session, error) {
 	// a run. Simulated planning is pure and cheap; native planning builds
 	// a real engine and synthesises kernel inputs, so native sessions
 	// defer the same check to the start of Run (still before any sweep
-	// executes).
+	// executes). The validated graph is kept for Fingerprint.
 	if !s.native {
-		if _, _, err := sess.plan(workload.Target{Sys: s.sys}, &Result{}, func(Event) {}); err != nil {
+		nodes, _, err := sess.plan(workload.Target{Sys: s.sys}, &Result{}, func(Event) {})
+		if err != nil {
 			return nil, err
 		}
+		sess.graph = nodes
 	}
 	return sess, nil
 }
